@@ -194,11 +194,10 @@ func (h *clusterHarness) start(slot int, plan faults.NodePlan) error {
 		ID:          h.ids[slot],
 		Coordinator: h.coordAddr,
 		Fleet: fleet.Config{
-			NewChain:   h.replicate,
-			Shards:     2,
-			WheelSlots: 4,
-			Interval:   h.cfg.Interval,
-			Policy:     supervise.Block,
+			NewChain: h.replicate,
+			Shards:   2,
+			Interval: h.cfg.Interval,
+			Policy:   supervise.Block,
 		},
 		Width:          h.width,
 		HeartbeatEvery: h.cfg.HeartbeatEvery,
@@ -943,11 +942,10 @@ func clusterCapacityRun(cfg ClusterBenchConfig, replicate func() (*core.Fallback
 			ID:          fmt.Sprintf("cap%s%d", mode, i),
 			Coordinator: ln.Addr().String(),
 			Fleet: fleet.Config{
-				NewChain:   replicate,
-				Shards:     2,
-				WheelSlots: 4,
-				Interval:   cfg.interval(),
-				Policy:     supervise.Block,
+				NewChain: replicate,
+				Shards:   2,
+				Interval: cfg.interval(),
+				Policy:   supervise.Block,
 			},
 			Width:          width,
 			HeartbeatEvery: 250 * time.Millisecond,
@@ -1160,11 +1158,10 @@ func clusterBenchPoint(cfg ClusterBenchConfig, replicate func() (*core.FallbackC
 			ID:          fmt.Sprintf("b%d", i),
 			Coordinator: ln.Addr().String(),
 			Fleet: fleet.Config{
-				NewChain:   replicate,
-				Shards:     2,
-				WheelSlots: 4,
-				Interval:   cfg.interval(),
-				Policy:     supervise.Block,
+				NewChain: replicate,
+				Shards:   2,
+				Interval: cfg.interval(),
+				Policy:   supervise.Block,
 			},
 			Width:          width,
 			HeartbeatEvery: 250 * time.Millisecond,

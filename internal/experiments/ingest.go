@@ -210,7 +210,6 @@ func ingestUp(cfg IngestChaosConfig, replicate func() (*core.FallbackChain, erro
 	eng, err := fleet.New(fleet.Config{
 		NewChain:        replicate,
 		Shards:          2,
-		WheelSlots:      4,
 		Interval:        cfg.Interval,
 		Policy:          supervise.Block,
 		Checkpoint:      store,
@@ -804,16 +803,16 @@ func (c IngestBenchConfig) multipliers() []float64 {
 
 // IngestPoint is one offered-load multiplier's measurement.
 type IngestPoint struct {
-	Multiplier    float64
-	OfferedPerSec float64
-	WallMillis    float64
-	Accepted      int64
-	Shed          int64
-	Attributed    int64
-	ShedPct       float64
-	SamplesPerSec float64
+	Multiplier     float64
+	OfferedPerSec  float64
+	WallMillis     float64
+	Accepted       int64
+	Shed           int64
+	Attributed     int64
+	ShedPct        float64
+	SamplesPerSec  float64
 	VerdictsPerSec float64
-	Evictions     int64
+	Evictions      int64
 }
 
 // CapacityPoint is one unpaced blast measurement: how fast the wire
@@ -918,10 +917,9 @@ func ingestCapacityPoint(replicate func() (*core.FallbackChain, error), width in
 	cfg IngestBenchConfig, batched bool) (CapacityPoint, error) {
 	pt := CapacityPoint{Batched: batched}
 	eng, err := fleet.New(fleet.Config{
-		NewChain:   replicate,
-		WheelSlots: 4,
-		Interval:   cfg.interval(),
-		Policy:     supervise.Block,
+		NewChain: replicate,
+		Interval: cfg.interval(),
+		Policy:   supervise.Block,
 	})
 	if err != nil {
 		return pt, fmt.Errorf("ingest capacity: engine: %w", err)
@@ -1105,12 +1103,8 @@ func ingestBenchPoint(replicate func() (*core.FallbackChain, error), width int,
 	var pt IngestPoint
 	eng, err := fleet.New(fleet.Config{
 		NewChain: replicate,
-		// Few slots keep the tick period comfortably above timer
-		// resolution at millisecond sampling intervals; the rotation
-		// period (the service rate) is unchanged.
-		WheelSlots: 4,
-		Interval:   cfg.interval(),
-		Policy:     supervise.Block,
+		Interval: cfg.interval(),
+		Policy:   supervise.Block,
 	})
 	if err != nil {
 		return pt, fmt.Errorf("ingest bench: engine: %w", err)

@@ -5,7 +5,7 @@
 //
 // The shape of the engine:
 //
-//		            ┌── timer wheel (one ticker for every stream) ──┐
+//		            ┌─ timer wheel (one schedule for every stream) ─┐
 //		            │ slot 0: h0 h4 h8 …   slot 1: h1 h5 h9 …   …   │
 //		            └──────┬────────────────────┬───────────────────┘
 //		     staged batch  │ (due streams)      │  per-shard SPSC ring
@@ -19,7 +19,15 @@
 //	  - One timer wheel drives every stream's sampling interval: streams
 //	    are spread round-robin over the wheel's slots, the wheel ticks
 //	    once per slot, and a full rotation harvests every live stream
-//	    exactly once. One ticker total, not one per stream.
+//	    exactly once. One timer total, not one per stream.
+//	  - The wheel is paced to absolute deadlines: tick t of a Run that
+//	    started at tick base is due at epoch + (t-base)·Interval/slots,
+//	    computed in integer nanoseconds from the tick count so rounding
+//	    never drifts. An overdue tick runs at once and is never skipped,
+//	    so a stall (GC, checkpoint, a full ring under Block) is caught up
+//	    by harvesting back to back; the slot count therefore need not
+//	    keep the slot period above timer resolution — a late wake-up
+//	    just finds several slots due.
 //	  - The wheel's bookkeeping is dense: slots hold int32 handles into
 //	    chunked slabs of stream records, and stream chain state is carved
 //	    from per-shard arenas in admission order, so a harvest pass walks
@@ -101,11 +109,15 @@ type Config struct {
 	Shards int
 	// WheelSlots is the number of timer-wheel slots streams are spread
 	// over (<=0 means 32). More slots smooth the per-tick burst; the
-	// rotation period (one sampling interval) is unchanged.
+	// rotation period (one sampling interval) is unchanged. Slots may be
+	// shorter than the timer's resolution: ticks are paced to deadlines
+	// and overdue ones run back to back, so the wheel keeps Interval.
 	WheelSlots int
 	// Interval is each stream's sampling interval — the wheel's full
-	// rotation period, the paper's 10 ms. 0 runs unpaced (benchmarks:
-	// rotations proceed as fast as the shards drain them).
+	// rotation period, the paper's 10 ms. Slot tick t is due at
+	// Interval·t/WheelSlots after Run starts; a tick that falls behind
+	// is caught up, never skipped. 0 runs unpaced (benchmarks: rotations
+	// proceed as fast as the shards drain them).
 	Interval time.Duration
 	// Policy is the shard-ring backpressure policy: Block (lossless,
 	// deterministic verdict streams) or DropOldest (shed whole batches
@@ -333,6 +345,7 @@ type Engine struct {
 	stagedTicks []int
 	coalesce    []int
 	flushDue    []bool
+	tickStreams []int // streams harvested per shard this tick
 }
 
 // New validates cfg, replicates the chain once per shard, and builds
@@ -371,6 +384,7 @@ func New(cfg Config) (*Engine, error) {
 		stagedTicks: make([]int, nshards),
 		coalesce:    make([]int, nshards),
 		flushDue:    make([]bool, nshards),
+		tickStreams: make([]int, nshards),
 	}
 	for i := range e.shards {
 		tmpl, err := newChain()
@@ -510,12 +524,14 @@ func (e *Engine) RestoredInterval(id string) (interval int, ok bool) {
 	return st.Interval, true
 }
 
-// slotDuration is the wheel's tick period (0 = unpaced).
-func (e *Engine) slotDuration() time.Duration {
-	if e.cfg.Interval <= 0 {
-		return 0
-	}
-	return e.cfg.Interval / time.Duration(len(e.slots))
+// slotOffset is how long after the pacing epoch the wheel's k-th tick
+// is due: k/slots whole rotations of Interval plus the slot's share of
+// one, in integer nanoseconds from the tick count so no per-slot
+// rounding accumulates.
+func (e *Engine) slotOffset(k int64) time.Duration {
+	nslots := int64(len(e.slots))
+	iv := int64(e.cfg.Interval)
+	return time.Duration(k/nslots*iv + k%nslots*iv/nslots)
 }
 
 // Run drives the fleet until every bounded stream finishes (and at
@@ -546,25 +562,50 @@ func (e *Engine) Run(ctx context.Context) error {
 	stopWake := context.AfterFunc(rctx, e.wakeAll)
 	defer stopWake()
 
-	var ticker *time.Ticker
-	if d := e.slotDuration(); d > 0 {
-		ticker = time.NewTicker(d)
-		defer ticker.Stop()
+	// Deadline pacing: tick t is due at epoch + slotOffset(t-base). An
+	// overdue tick runs at once (ticks are never skipped, so a stall is
+	// caught up back to back); otherwise the wheel sleeps on one reused
+	// timer until the next deadline.
+	paced := e.cfg.Interval > 0
+	var (
+		due   time.Time // the current tick's deadline; zero when unpaced
+		epoch time.Time
+		base  int64
+		timer *time.Timer
+	)
+	if paced {
+		epoch, base = time.Now(), e.tick.Load()
+		due = epoch
+		defer func() {
+			if timer != nil {
+				timer.Stop()
+			}
+		}()
 	}
 	for rctx.Err() == nil {
-		harvested := e.tickOnce(rctx)
+		harvested := e.tickOnce(rctx, due)
 		if e.drained() {
 			break
 		}
-		if ticker != nil {
+		if !paced {
+			if !harvested {
+				// Nothing due (tail of a drain, or an idle fleet):
+				// yield instead of spinning the lock.
+				runtime.Gosched()
+			}
+			continue
+		}
+		due = epoch.Add(e.slotOffset(e.tick.Load() - base))
+		if wait := time.Until(due); wait > 0 {
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
 			select {
-			case <-ticker.C:
+			case <-timer.C:
 			case <-rctx.Done():
 			}
-		} else if !harvested {
-			// Unpaced and nothing due (tail of a drain, or an idle
-			// fleet): yield instead of spinning the lock.
-			runtime.Gosched()
 		}
 	}
 	// The wheel is the rings' only producer; once it stops, any capture
@@ -620,8 +661,10 @@ func (e *Engine) drained() bool {
 // removed streams, stages tail-repair drains for shed horizons, flushes
 // whatever the adaptive controller says is due, and routes checkpoint
 // and capture markers through the rings. It reports whether it staged
-// or published anything.
-func (e *Engine) tickOnce(ctx context.Context) bool {
+// or published anything. due is the tick's pacing deadline (zero when
+// unpaced); how late the harvest ran against it is booked once per tick
+// into each harvested shard's slip histogram.
+func (e *Engine) tickOnce(ctx context.Context, due time.Time) bool {
 	now := time.Now()
 
 	e.mu.Lock()
@@ -697,6 +740,7 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 			st.rot, st.at = rot, now
 		}
 		st.entries = append(st.entries, entry{s: s, interval: int(srot)})
+		e.tickStreams[s.shardIdx]++
 		staged = true
 		keep = append(keep, h)
 	}
@@ -731,6 +775,12 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 
 	any := staged
 	for i, sh := range e.shards {
+		if n := e.tickStreams[i]; n > 0 {
+			if !due.IsZero() {
+				sh.slip.record(now.Sub(due), int64(n))
+			}
+			e.tickStreams[i] = 0
+		}
 		if e.flushDue[i] {
 			e.flushStaging(ctx, sh)
 			any = true

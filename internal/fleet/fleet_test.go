@@ -452,7 +452,7 @@ func TestFleetZeroAllocSteadyState(t *testing.T) {
 	}
 	ctx := context.Background()
 	step := func() {
-		e.tickOnce(ctx)
+		e.tickOnce(ctx, time.Now())
 		for _, sh := range e.shards {
 			for sh.step(ctx) {
 			}

@@ -116,6 +116,10 @@ type shard struct {
 	shedIntervals atomic.Int64
 	lastRot       atomic.Int64
 	lat           latHist
+	// slip is how late the wheel harvested this shard's streams against
+	// their ticks' pacing deadlines (recorded by the wheel, once per
+	// tick, weighted by the streams harvested).
+	slip latHist
 }
 
 func newShard(e *Engine, idx int, tmpl *core.FallbackChain, cfg Config) *shard {

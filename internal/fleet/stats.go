@@ -153,6 +153,12 @@ type ShardSnapshot struct {
 	P50LatencyMicros  float64
 	P99LatencyMicros  float64
 	P999LatencyMicros float64
+	// P50/P99 schedule slip since the shard started, in microseconds:
+	// how late the paced wheel harvested the shard's streams against
+	// their ticks' deadlines, weighted by streams harvested (0 when
+	// unpaced).
+	P50SlipMicros float64
+	P99SlipMicros float64
 	// LagHistogram is the full harvest-to-verdict latency distribution
 	// (non-empty buckets only, ascending).
 	LagHistogram []LagBucket `json:",omitempty"`
@@ -260,6 +266,10 @@ func (e *Engine) statsPage(offset, limit int, includeStreams bool) Snapshot {
 					})
 				}
 			}
+		}
+		if total := sh.slip.snapshot(&counts); total > 0 {
+			ss.P50SlipMicros = quantile(&counts, total, 0.50)
+			ss.P99SlipMicros = quantile(&counts, total, 0.99)
 		}
 		for _, b := range sh.batchers {
 			if b.Compiled() {

@@ -17,8 +17,15 @@ go test -race ./internal/supervise ./internal/core
 go test -race ./internal/eval ./internal/mlearn/ensemble
 # The fleet race pass includes the high-stream-count churn workout
 # (TestFleetDensityChurn: concurrent add/remove + paginated stats
-# readers) and the zero-alloc gates on the SPSC ring and demux path.
+# readers), the zero-alloc gates on the SPSC ring and demux path, and
+# the pacing gates: the default 32-slot wheel must rotate every 10 ms
+# (TestWheelKeepsInterval), catch up gap-free after a stall, and stop
+# promptly when cancelled mid-sleep.
 go test -race ./internal/fleet
+# The repo benchmark's own tests in short mode: every gated workload
+# runs end to end for a second with its verdict-correctness check, so a
+# correctness or pacing break on the benchmarked path fails here.
+(cd perfbench && go test -short ./...)
 # Ingest plane: framing, admission/quota/eviction, drain and client
 # tests under the race detector (connections, streams and shards all
 # share state), plus a short fuzz pass over the frame decoder — torn,
